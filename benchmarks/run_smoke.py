@@ -692,7 +692,7 @@ def incr_entries(full, repeat):
         incr_wall, view = timed(run_incremental, repeat)
         full_wall, last = timed(run_rechase, repeat)
         check(view, last)
-        updates = view.update_stats[-batches:]
+        updates = list(view.update_stats)[-batches:]
         entries.append({
             "workload": workload,
             "mode": "incremental",

@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ChaseBudgetExceeded, ChaseError
 from ..lf.atoms import Atom
@@ -63,6 +63,10 @@ from .engine import ChaseConfig, ChaseStrategy, _evaluate_round, chase
 from .provenance import SupportStore
 from .results import ChaseResult
 from .stats import IncrStats, RoundStats
+
+
+#: How many recent updates' stats a :class:`ChaseView` keeps.
+UPDATE_STATS_WINDOW = 64
 
 
 @dataclass
@@ -206,7 +210,15 @@ class ChaseView:
         )
         self._pending_lost: Set[Atom] = set()
         self._fallback_lost: Set[Atom] = set()
-        self.update_stats: List[IncrStats] = []
+        #: The :class:`IncrStats` of the last :data:`UPDATE_STATS_WINDOW`
+        #: updates, oldest first (a long-lived view must not grow with
+        #: its update count); :attr:`updates_applied` counts them all.
+        self.update_stats: Deque[IncrStats] = deque(maxlen=UPDATE_STATS_WINDOW)
+        self.updates_applied = 0
+
+    def _record(self, stats: IncrStats) -> None:
+        self.update_stats.append(stats)
+        self.updates_applied += 1
 
     # -- inspection -----------------------------------------------------
     @property
@@ -423,7 +435,7 @@ class ChaseView:
             self.saturated = saturated
             self.stopped_reason = reason
             stats.wall_ms = (time.perf_counter() - started) * 1000.0
-            self.update_stats.append(stats)
+            self._record(stats)
             return UpdateResult(
                 added=tuple(sorted(came, key=str)),
                 removed=tuple(sorted(gone, key=str)),
@@ -436,7 +448,7 @@ class ChaseView:
             self._pending_delta = frontier
             if self.config.should_raise:
                 stats.wall_ms = (time.perf_counter() - started) * 1000.0
-                self.update_stats.append(stats)
+                self._record(stats)
                 self.saturated = False
                 self.stopped_reason = reason
                 raise guard.exception(reason, stats=stats)
@@ -554,7 +566,7 @@ class ChaseView:
                 self.saturated = False
                 self.stopped_reason = StopReason.BUDGET
                 stats.wall_ms = (time.perf_counter() - started) * 1000.0
-                self.update_stats.append(stats)
+                self._record(stats)
                 if self.config.should_raise:
                     raise ChaseBudgetExceeded(
                         f"view update exceeded budget at depth {self._depth}",
@@ -577,7 +589,7 @@ class ChaseView:
         return (
             f"ChaseView({status} at depth {self._depth}, "
             f"{len(self._working)} facts over {len(self._base)} base facts, "
-            f"{len(self.update_stats)} updates)"
+            f"{self.updates_applied} updates)"
         )
 
 

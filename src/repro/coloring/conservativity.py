@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConservativityError
-from ..lf.canonical import canonical_query, subsets_containing
+from ..lf.canonical import Incidence
 from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.structures import Structure
-from ..lf.terms import Constant, Element
-from ..ptypes.ptype import boolean_type_queries, type_queries
+from ..lf.terms import Element
+from ..ptypes.ptype import GeneratorTable, boolean_type_queries, type_queries
 from ..ptypes.quotient import Quotient, quotient
+from ..runtime.guard import NULL_GUARD, RuntimeGuard
 from .colors import ColoredStructure
 from .natural import natural_coloring
 
@@ -72,24 +73,33 @@ def conservativity_report(
     n: int,
     m: int,
     prebuilt: "Optional[Quotient]" = None,
+    table: "Optional[GeneratorTable]" = None,
+    guard: RuntimeGuard = NULL_GUARD,
 ) -> ConservativityReport:
     """Check whether *colored* is n-conservative up to size *m* (Def. 8).
 
     Types in the quotient are computed over the **base** signature Σ
     (colors are only the glue that keeps the quotient fine enough);
-    types used to *build* the quotient are over the full Σ̄.
+    types used to *build* the quotient are over the full Σ̄.  *table*
+    shares generators with the caller's other type computations (see
+    :class:`~repro.ptypes.ptype.GeneratorTable`).  *guard* is polled
+    once per sentence, image and source element; a trip raises
+    :class:`~repro.runtime.GuardTripped` for the caller to translate.
     """
     quotiented = prebuilt or quotient(colored.structure, n)
     base_names = colored.base_relations
     source = colored.structure  # queries over Σ see through the colors
+    table = table if table is not None else GeneratorTable()
+    incidence = Incidence(quotiented.structure)
 
     # Boolean components first: every connected sentence of the quotient
     # with at most m-1 variables must already hold in the source (this
     # is the (♠3) part of a full m-variable query whose y-component is
     # checked per element below).
     for sentence in boolean_type_queries(
-        quotiented.structure, m - 1, relation_names=base_names
+        quotiented.structure, m - 1, base_names, table, incidence
     ):
+        guard.checkpoint()
         if not satisfies(source, sentence):
             return ConservativityReport(
                 conservative=False,
@@ -107,10 +117,12 @@ def conservativity_report(
         fibers.setdefault(quotiented.project(element), []).append(element)
 
     for image in sorted(fibers, key=str):
+        guard.checkpoint()
         image_queries = type_queries(
-            quotiented.structure, image, m, relation_names=base_names
+            quotiented.structure, image, m, base_names, table, incidence
         )
         for element in sorted(fibers[image], key=str):
+            guard.checkpoint()
             for query in image_queries:
                 if not satisfies(source, query, {query.free[0]: element}):
                     return ConservativityReport(

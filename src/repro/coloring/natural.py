@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..lf.canonical import canonical_label
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element
+from ..runtime.guard import NULL_GUARD, RuntimeGuard
 from ..vtdag.predecessors import (
     iterated_predecessors,
     predecessor_neighbourhood,
@@ -34,18 +35,22 @@ from ..vtdag.predecessors import (
 from .colors import Color, ColoredStructure, apply_coloring
 
 
-def lightness_classes(structure: Structure) -> Dict[Element, int]:
+def lightness_classes(
+    structure: Structure, guard: RuntimeGuard = NULL_GUARD
+) -> Dict[Element, int]:
     """Assign a lightness to every element.
 
     The lightness is an index of the isomorphism class (fixing the
     constants) of ``C ↾ (P(e) ∪ C_con)``, so Definition 14's second
     condition holds by construction.  Constants get the dedicated
     lightness key of their own identity (they are all forced distinct
-    from non-constants).
+    from non-constants).  *guard* is polled once per element (see
+    :func:`natural_coloring`).
     """
     table: Dict[Tuple, int] = {}
     assignment: Dict[Element, int] = {}
     for element in sorted(structure.domain(), key=str):
+        guard.checkpoint()
         if isinstance(element, Constant):
             key: Tuple = ("constant",)
         else:
@@ -82,18 +87,23 @@ def lightness_classes(structure: Structure) -> Dict[Element, int]:
     return assignment
 
 
-def hue_assignment(structure: Structure, m: int) -> Dict[Element, int]:
+def hue_assignment(
+    structure: Structure, m: int, guard: RuntimeGuard = NULL_GUARD
+) -> Dict[Element, int]:
     """Greedy hues such that any two elements of one ``P_m`` set differ.
 
     The conflict graph joins ``e`` to every *other* member of
     ``P_m(e)``; greedy coloring over a deterministic element order
     assigns each element the least hue unused among its already-colored
     conflicts.  Constants get unique hues from a disjoint range.
+    *guard* is polled once per non-constant element (see
+    :func:`natural_coloring`).
     """
     conflicts: Dict[Element, Set[Element]] = {e: set() for e in structure.domain()}
     for element in structure.domain():
         if isinstance(element, Constant):
             continue
+        guard.checkpoint()
         for ancestor in iterated_predecessors(structure, element, m):
             if ancestor != element:
                 conflicts[element].add(ancestor)
@@ -129,10 +139,17 @@ def hue_assignment(structure: Structure, m: int) -> Dict[Element, int]:
     return hues
 
 
-def natural_coloring(structure: Structure, m: int) -> ColoredStructure:
-    """A natural coloring of *structure* for type size *m* (Def. 14)."""
-    lightness = lightness_classes(structure)
-    hues = hue_assignment(structure, m)
+def natural_coloring(
+    structure: Structure, m: int, guard: RuntimeGuard = NULL_GUARD
+) -> ColoredStructure:
+    """A natural coloring of *structure* for type size *m* (Def. 14).
+
+    *guard* is polled once per element in the lightness and in the hue
+    pass; a trip raises :class:`~repro.runtime.GuardTripped` for the
+    caller (the Theorem-2 pipeline) to translate.
+    """
+    lightness = lightness_classes(structure, guard)
+    hues = hue_assignment(structure, m, guard)
     assignment = {
         element: Color(hues[element], lightness[element])
         for element in structure.domain()

@@ -54,9 +54,10 @@ from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.rules import Theory
 from ..lf.structures import Structure
-from ..runtime.guard import RuntimeGuard, StopReason
+from ..runtime.guard import GuardTripped, RuntimeGuard, StopReason
 from ..lf.terms import Constant, Element, Null
 from ..ptypes.partition import TypePartition
+from ..ptypes.ptype import GeneratorTable
 from ..ptypes.quotient import Quotient, quotient
 from ..rewriting.bdd import bdd_profile
 from ..rewriting.rewriter import RewriteConfig
@@ -242,6 +243,11 @@ def build_finite_counter_model(
             "store": config.store,
         }
 
+    # One generator table for the whole call: every partition and
+    # conservativity check below builds its type generators through it,
+    # across depths and η, and it is dropped when the call returns.
+    table = GeneratorTable()
+
     for depth in config.chase_depths:
         reason = guard.check()
         if reason is not None:
@@ -277,7 +283,12 @@ def build_finite_counter_model(
             result.attempts.append(f"depth {depth}: saturated chase fails: {reason}")
             continue
 
-        colored = natural_coloring(skel.structure, kappa)
+        # The type phases poll the guard once per element; a trip
+        # surfaces here as GuardTripped.
+        try:
+            colored = natural_coloring(skel.structure, kappa, guard=guard)
+        except GuardTripped as trip:
+            return guard_stop(trip.reason)
         gap = _level_gap(skel.structure)
         for eta in range(kappa, kappa + config.eta_extra + 1):
             reason = guard.check()
@@ -291,9 +302,16 @@ def build_finite_counter_model(
                     f"({len(interior)} elements)"
                 )
                 continue
-            partition = TypePartition(colored.structure, eta, elements=interior)
-            quotiented = quotient(colored.structure, eta, partition=partition)
-            report = conservativity_report(colored, eta, kappa, prebuilt=quotiented)
+            partition = TypePartition(
+                colored.structure, eta, elements=interior, table=table, guard=guard
+            )
+            try:
+                quotiented = quotient(colored.structure, eta, partition=partition)
+                report = conservativity_report(
+                    colored, eta, kappa, prebuilt=quotiented, table=table, guard=guard
+                )
+            except GuardTripped as trip:
+                return guard_stop(trip.reason)
             if not report.conservative:
                 result.attempts.append(
                     f"depth {depth}, eta {eta}: not conservative "

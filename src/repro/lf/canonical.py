@@ -8,7 +8,11 @@ Two constructions used throughout the positive-type machinery:
   variable ``y``) and constants kept.  The key property (proved in
   :mod:`repro.ptypes.ptype`) is that the canonical queries of the
   ≤ n-element subsets around ``d`` *generate* the positive n-type of
-  ``d`` under query homomorphism.
+  ``d`` under query homomorphism.  Its atom set as plain tuples — the
+  query's *shape* (:func:`canonical_shape`) — is computed from an
+  :class:`Incidence` (the structure's element→facts map, read once) and
+  is the exact key under which :class:`repro.ptypes.GeneratorTable`
+  memoises generators.
 
 * a **canonical label** of a small structure: a string invariant under
   isomorphisms that fix the constants — used as the *lightness* of a
@@ -28,6 +32,147 @@ from .terms import Constant, Element, Variable
 
 #: The free variable of canonical type queries — the paper's ``y``.
 FREE_VARIABLE = Variable("y")
+
+
+class Incidence:
+    """A structure's element→facts map, read in one pass over its facts.
+
+    The positive-type machinery asks for the facts among small element
+    sets thousands of times per structure.  With this map each ask reads
+    only its members' own facts — not :meth:`Structure.facts_about`
+    (which walks signature × arity per call) and not a scan of every
+    fact.  It is a snapshot: build it once the structure stops changing.
+
+    Attributes
+    ----------
+    facts_of:
+        Each element's facts (a fact repeating an element is listed
+        once under it).
+    nullary:
+        The facts without arguments.
+    constants:
+        The structure's constant elements (``C_con``).
+    """
+
+    __slots__ = ("facts_of", "nullary", "constants", "_neighbours")
+
+    def __init__(self, structure: Structure):
+        facts_of: Dict[Element, List[Atom]] = {}
+        nullary: List[Atom] = []
+        for fact in structure.facts():
+            if not fact.args:
+                nullary.append(fact)
+            for arg in set(fact.args):
+                bucket = facts_of.get(arg)
+                if bucket is None:
+                    facts_of[arg] = [fact]
+                else:
+                    bucket.append(fact)
+        self.facts_of = facts_of
+        self.nullary = tuple(nullary)
+        self.constants = structure.constant_elements()
+        self._neighbours: Dict[Tuple[Element, Optional[FrozenSet[str]]], List[Element]] = {}
+
+    def neighbours(
+        self, element: Element, allowed: "Optional[FrozenSet[str]]" = None
+    ) -> List[Element]:
+        """The non-constant elements sharing an *allowed* fact with
+        *element*, sorted by name (memoised)."""
+        key = (element, allowed)
+        found = self._neighbours.get(key)
+        if found is None:
+            adjacent = set()
+            for fact in self.facts_of.get(element, ()):
+                if allowed is not None and fact.pred not in allowed:
+                    continue
+                for arg in fact.args:
+                    if arg != element and not isinstance(arg, Constant):
+                        adjacent.add(arg)
+            found = sorted(adjacent, key=str)
+            self._neighbours[key] = found
+        return found
+
+
+#: The atoms of a canonical query written as plain ``(pred, args)``
+#: tuples: equal shapes give equal canonical queries.
+Shape = FrozenSet[Tuple[str, Tuple[object, ...]]]
+
+
+def canonical_shape(
+    incidence: Incidence,
+    elements: Iterable[Element],
+    distinguished: Element,
+    relation_names: "Optional[Iterable[str]]" = None,
+    skip_constant_only: bool = False,
+) -> Shape:
+    """The atom set of :func:`canonical_query` as plain tuples.
+
+    Same arguments as :func:`canonical_query`, with the structure given
+    by its :class:`Incidence`.  The shape alone determines the query
+    (:func:`shape_query`), so it is an exact memo key for anything
+    computed from the query.
+    """
+    chosen = elements if isinstance(elements, (set, frozenset)) else set(elements)
+    if distinguished not in chosen:
+        raise ValueError("distinguished element must belong to the subset")
+    allowed = frozenset(relation_names) if relation_names is not None else None
+
+    table: Dict[Element, object] = {}
+    counter = 0
+    for element in sorted(chosen, key=str):
+        if element == distinguished:
+            table[element] = FREE_VARIABLE
+        elif isinstance(element, Constant):
+            table[element] = element
+        else:
+            table[element] = Variable(f"x{counter}")
+            counter += 1
+
+    # Every selected fact mentions a member of the subset.  Constant-only
+    # facts are skipped (bar those on a distinguished constant) when
+    # skip_constant_only is set, so only the other members are read then.
+    if skip_constant_only:
+        readers = [
+            element
+            for element in chosen
+            if element == distinguished or not isinstance(element, Constant)
+        ]
+    else:
+        readers = list(chosen)
+    facts_of = incidence.facts_of
+    atoms: Set[Tuple[str, Tuple[object, ...]]] = set()
+    for member in readers:
+        for fact in facts_of.get(member, ()):
+            if allowed is not None and fact.pred not in allowed:
+                continue
+            args = fact.args
+            if not all(arg in chosen for arg in args):
+                continue
+            if skip_constant_only and all(
+                isinstance(arg, Constant) and arg != distinguished for arg in args
+            ):
+                continue
+            atoms.add((fact.pred, tuple([table[arg] for arg in args])))
+    if not skip_constant_only:
+        for fact in incidence.nullary:
+            if allowed is None or fact.pred in allowed:
+                atoms.add((fact.pred, ()))
+    if isinstance(distinguished, Constant):
+        atoms.add(("=", (FREE_VARIABLE, distinguished)))
+    if not any(FREE_VARIABLE in args for _, args in atoms):
+        # The distinguished element occurs in no selected fact; the type
+        # contribution is the trivial query "y exists", which we encode
+        # as the empty conjunction with a free variable obtained from a
+        # vacuous equality y = y (always true).
+        atoms.add(("=", (FREE_VARIABLE, FREE_VARIABLE)))
+    return frozenset(atoms)
+
+
+def shape_query(shape: Shape) -> ConjunctiveQuery:
+    """The canonical query with the given shape (free variable ``y``)."""
+    return ConjunctiveQuery(
+        [Atom(pred, args) for pred, args in shape], (FREE_VARIABLE,)
+    )
 
 
 def canonical_query(
@@ -66,42 +211,15 @@ def canonical_query(
         With exactly one free variable ``y``; all other elements of S
         that are not constants become existential variables.
     """
-    chosen = set(elements)
-    if distinguished not in chosen:
-        raise ValueError("distinguished element must belong to the subset")
-    allowed = set(relation_names) if relation_names is not None else None
-
-    table: Dict[Element, object] = {}
-    counter = 0
-    for element in sorted(chosen, key=str):
-        if element == distinguished:
-            table[element] = FREE_VARIABLE
-        elif isinstance(element, Constant):
-            table[element] = element
-        else:
-            table[element] = Variable(f"x{counter}")
-            counter += 1
-
-    atoms: List[Atom] = []
-    for fact in structure.facts():
-        if allowed is not None and fact.pred not in allowed:
-            continue
-        if not all(arg in chosen for arg in fact.args):
-            continue
-        if skip_constant_only and all(
-            isinstance(arg, Constant) and arg != distinguished for arg in fact.args
-        ):
-            continue
-        atoms.append(Atom(fact.pred, tuple(table[arg] for arg in fact.args)))
-    if isinstance(distinguished, Constant):
-        atoms.append(Atom("=", (FREE_VARIABLE, distinguished)))
-    if not any(FREE_VARIABLE in a.variable_set() for a in atoms):
-        # The distinguished element occurs in no selected fact; the type
-        # contribution is the trivial query "y exists", which we encode
-        # as the empty conjunction with a free variable obtained from a
-        # vacuous equality y = y (always true).
-        atoms.append(Atom("=", (FREE_VARIABLE, FREE_VARIABLE)))
-    return ConjunctiveQuery(atoms, (FREE_VARIABLE,))
+    return shape_query(
+        canonical_shape(
+            Incidence(structure),
+            elements,
+            distinguished,
+            relation_names,
+            skip_constant_only,
+        )
+    )
 
 
 def subsets_containing(
@@ -135,6 +253,7 @@ def connected_subsets_containing(
     anchor: Element,
     max_size: int,
     relation_names: "Optional[Iterable[str]]" = None,
+    incidence: "Optional[Incidence]" = None,
 ) -> "Iterable[FrozenSet[Element]]":
     """Connected subsets of the non-constant elements containing *anchor*.
 
@@ -148,18 +267,11 @@ def connected_subsets_containing(
     Uses the standard extension enumeration: a subset is grown only
     through neighbours of its members, and elements already *declined*
     at an earlier branch are excluded, so each subset appears once.
+    Adjacency is read from *incidence* (the structure's
+    :class:`Incidence`; built here when not given).
     """
     allowed = frozenset(relation_names) if relation_names is not None else None
-
-    def neighbours(element: Element) -> "List[Element]":
-        found = set()
-        for fact in structure.facts_about(element):
-            if allowed is not None and fact.pred not in allowed:
-                continue
-            for arg in fact.args:
-                if arg != element and not isinstance(arg, Constant):
-                    found.add(arg)
-        return sorted(found, key=str)
+    incidence = incidence if incidence is not None else Incidence(structure)
 
     # The anchor itself is always connectable — even when it is a
     # constant: in the canonical query the distinguished element becomes
@@ -171,7 +283,7 @@ def connected_subsets_containing(
     def frontier() -> List[Element]:
         found = set()
         for member in chosen:
-            for neighbour in neighbours(member):
+            for neighbour in incidence.neighbours(member, allowed):
                 if neighbour not in banned:
                     found.add(neighbour)
         return sorted(found, key=str)

@@ -25,6 +25,11 @@ def _atom_sort_key(item: Atom) -> Tuple[str, Tuple[str, ...]]:
     return (item.pred, tuple(str(arg) for arg in item.args))
 
 
+def _tuple_sort_key(item: Tuple[str, Tuple[object, ...]]) -> Tuple[str, Tuple[str, ...]]:
+    """:func:`_atom_sort_key` for an atom written as ``(pred, args)``."""
+    return (item[0], tuple(str(arg) for arg in item[1]))
+
+
 class ConjunctiveQuery:
     """A conjunctive query: a finite conjunction of atoms.
 
@@ -187,33 +192,52 @@ class ConjunctiveQuery:
         normal form; the rewriting engine supplements it with
         homomorphic-equivalence checks.
         """
-        mapping: Dict[Variable, Variable] = {}
-        for index, var in enumerate(self._free):
-            mapping[var] = Variable(f"f{index}")
-        counter = 0
-        for item in self._atoms:
-            for arg in item.args:
-                if isinstance(arg, Variable) and arg not in mapping:
-                    mapping[arg] = Variable(f"v{counter}")
-                    counter += 1
+        # The renaming runs over plain ``(pred, args)`` tuples: they hash
+        # and compare exactly like the corresponding atoms, so each
+        # ``sorted(set(...))`` orders ties the way the constructor would,
+        # and only the final result is built as a query.
+        atoms = [(item.pred, item.args) for item in self._atoms]
+        free = self._free
         # Renaming may change the atom sort order, which may enable a
-        # better (smaller) renaming; iterate to a fixpoint.
-        current = self.substitute(mapping)
-        for _ in range(3):
-            mapping = {}
-            for index, var in enumerate(current._free):
+        # better (smaller) renaming; iterate to a fixpoint (the first
+        # renaming plus at most three more).
+        for round_index in range(4):
+            mapping: Dict[Variable, Variable] = {}
+            for index, var in enumerate(free):
                 mapping[var] = Variable(f"f{index}")
             counter = 0
-            for item in current._atoms:
-                for arg in item.args:
+            for _, args in atoms:
+                for arg in args:
                     if isinstance(arg, Variable) and arg not in mapping:
                         mapping[arg] = Variable(f"v{counter}")
                         counter += 1
-            renamed = current.substitute(mapping)
-            if renamed == current:
+            renamed = sorted(
+                {
+                    (pred, tuple([mapping.get(arg, arg) for arg in args]))
+                    for pred, args in atoms
+                },
+                key=_tuple_sort_key,
+            )
+            renamed_free = tuple(mapping[var] for var in free)
+            if round_index and renamed_free == free and set(renamed) == set(atoms):
                 break
-            current = renamed
-        return current
+            atoms, free = renamed, renamed_free
+        return ConjunctiveQuery._trusted(
+            tuple(Atom(pred, args) for pred, args in atoms), free
+        )
+
+    @classmethod
+    def _trusted(
+        cls, atoms: Tuple[Atom, ...], free: Tuple[Variable, ...]
+    ) -> "ConjunctiveQuery":
+        """Build a query from atoms that are already de-duplicated and in
+        the constructor's order, with a valid free tuple (no re-sort and
+        no re-validation)."""
+        query = cls.__new__(cls)
+        query._atoms = atoms
+        query._free = free
+        query._hash = hash((frozenset(atoms), free))
+        return query
 
     # ------------------------------------------------------------------
     # Identity and presentation

@@ -14,6 +14,7 @@ from .bruteforce import (
 )
 from .partition import TypePartition
 from .ptype import (
+    GeneratorTable,
     boolean_type_queries,
     equivalent,
     less_equal,
@@ -32,6 +33,7 @@ from .quotient import (
 )
 
 __all__ = [
+    "GeneratorTable",
     "Quotient",
     "TypePartition",
     "boolean_type_queries",

@@ -5,7 +5,10 @@ partition.  Computing it naively is quadratic in the domain with an
 expensive test per pair; :class:`TypePartition` makes it practical:
 
 * every element's canonical type generators are computed once and
-  cached;
+  cached, each distinct generator once per
+  :class:`~repro.ptypes.ptype.GeneratorTable` (shared by the callers
+  that pass one), with the structure's facts read through one
+  :class:`~repro.lf.canonical.Incidence`;
 * elements are pre-grouped by a cheap invariant (their generator
   *set*, which over-refines nothing: equal types need not mean equal
   generator sets, so groups are then merged by the real ``≡_n`` test);
@@ -16,11 +19,12 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from ..lf.canonical import Incidence
 from ..lf.homomorphism import satisfies
-from ..lf.queries import ConjunctiveQuery
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element
-from .ptype import type_queries
+from ..runtime.guard import NULL_GUARD, RuntimeGuard
+from .ptype import Generator, GeneratorTable, type_generators
 
 
 class TypePartition:
@@ -42,6 +46,13 @@ class TypePartition:
         computed within the whole structure).  The Theorem-2 pipeline
         uses this to quotient only the *interior* of a depth-truncated
         skeleton, whose types provably agree with the infinite chase.
+    table:
+        The :class:`~repro.ptypes.ptype.GeneratorTable` to build
+        generators through (a fresh one otherwise).
+    guard:
+        Polled once per element while the classes are computed; a trip
+        raises :class:`~repro.runtime.GuardTripped` for the caller (the
+        Theorem-2 pipeline) to translate.
     """
 
     def __init__(
@@ -50,6 +61,8 @@ class TypePartition:
         n: int,
         relation_names: "Optional[Iterable[str]]" = None,
         elements: "Optional[Iterable[Element]]" = None,
+        table: "Optional[GeneratorTable]" = None,
+        guard: RuntimeGuard = NULL_GUARD,
     ):
         self.structure = structure
         self.n = n
@@ -59,26 +72,37 @@ class TypePartition:
         self.elements = (
             frozenset(elements) if elements is not None else structure.domain()
         )
-        self._queries: Dict[Element, List[ConjunctiveQuery]] = {}
+        self.table = table if table is not None else GeneratorTable()
+        self.guard = guard
+        self._incidence: "Optional[Incidence]" = None
+        self._generators: Dict[Element, List[Generator]] = {}
         self._classes: "Optional[List[FrozenSet[Element]]]" = None
         self._class_of: Dict[Element, int] = {}
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def queries_of(self, element: Element) -> List[ConjunctiveQuery]:
-        """Cached canonical type generators of *element*."""
-        cached = self._queries.get(element)
+    def generators_of(self, element: Element) -> List[Generator]:
+        """Cached canonical type generators of *element*, each with its
+        canonical marker."""
+        cached = self._generators.get(element)
         if cached is None:
-            cached = type_queries(
-                self.structure, element, self.n, self.relation_names
+            if self._incidence is None:
+                self._incidence = Incidence(self.structure)
+            cached = type_generators(
+                self.structure,
+                element,
+                self.n,
+                self.relation_names,
+                self.table,
+                self._incidence,
             )
-            self._queries[element] = cached
+            self._generators[element] = cached
         return cached
 
     def _subsumed(self, left: Element, right: Element) -> bool:
         """``ptp_n(left) ⊆ ptp_n(right)`` using cached generators."""
-        for query in self.queries_of(left):
+        for query, _ in self.generators_of(left):
             if not satisfies(self.structure, query, {query.free[0]: right}):
                 return False
         return True
@@ -116,11 +140,13 @@ class TypePartition:
             if e in self.elements
         ]
         for element in chosen:
-            marker = frozenset(q.canonical() for q in self.queries_of(element))
+            self.guard.checkpoint()
+            marker = frozenset(marker for _, marker in self.generators_of(element))
             buckets.setdefault(marker, []).append(element)
 
         representatives: List[Tuple[Element, List[Element]]] = []
         for marker in sorted(buckets, key=lambda m: sorted(str(q) for q in m)):
+            self.guard.checkpoint()
             members = buckets[marker]
             # equal generator sets ⟹ equivalent: one group
             placed = False

@@ -41,17 +41,93 @@ anything else).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..lf.canonical import (
-    FREE_VARIABLE,
-    canonical_query,
+    Incidence,
+    Shape,
+    canonical_shape,
     connected_subsets_containing,
+    shape_query,
 )
 from ..lf.homomorphism import satisfies
 from ..lf.queries import ConjunctiveQuery
 from ..lf.structures import Structure
 from ..lf.terms import Constant, Element
+
+#: A generator and its canonical marker (its renaming-invariant form).
+Generator = Tuple[ConjunctiveQuery, ConjunctiveQuery]
+
+
+class GeneratorTable:
+    """Canonical type generators memoised by subquery shape.
+
+    Maps each :data:`~repro.lf.canonical.Shape` — the atom set a
+    canonical subquery would have — to the query and its canonical
+    marker, building both on the first ask.  The shape alone determines
+    both, so the memo is exact across structures: the Theorem-2
+    pipeline shares one table among every :class:`TypePartition` and
+    conservativity check of a call, over several skeletons and
+    quotients, and drops it when the call returns.  Shapes recur
+    because the subsets around different elements of a skeleton look
+    alike (the three timed model-search countermodels enumerate 2,476
+    subqueries of 171 distinct shapes).
+    """
+
+    __slots__ = ("_entries", "lookups")
+
+    def __init__(self) -> None:
+        self._entries: Dict[Tuple[Shape, bool], Generator] = {}
+        #: Shapes looked up so far (hits and misses).
+        self.lookups = 0
+
+    def generator(self, shape: Shape, boolean: bool = False) -> Generator:
+        """The generator of *shape* (its Boolean closure when *boolean*)
+        and the generator's canonical marker."""
+        self.lookups += 1
+        key = (shape, boolean)
+        entry = self._entries.get(key)
+        if entry is None:
+            query = shape_query(shape)
+            if boolean:
+                query = query.boolean()
+            entry = (query, query.canonical())
+            self._entries[key] = entry
+        return entry
+
+    def __len__(self) -> int:
+        """Distinct generators built."""
+        return len(self._entries)
+
+
+def type_generators(
+    structure: Structure,
+    element: Element,
+    n: int,
+    relation_names: "Optional[Iterable[str]]" = None,
+    table: "Optional[GeneratorTable]" = None,
+    incidence: "Optional[Incidence]" = None,
+) -> List[Generator]:
+    """:func:`type_queries` paired with each query's canonical marker."""
+    if n < 1:
+        raise ValueError("positive n-types need n >= 1")
+    names = frozenset(relation_names) if relation_names is not None else None
+    table = table if table is not None else GeneratorTable()
+    incidence = incidence if incidence is not None else Incidence(structure)
+    constants = incidence.constants
+    generators: List[Generator] = []
+    seen = set()
+    for subset in connected_subsets_containing(
+        structure, element, n, names, incidence
+    ):
+        shape = canonical_shape(
+            incidence, subset | constants, element, names, skip_constant_only=True
+        )
+        query, marker = table.generator(shape)
+        if marker not in seen:
+            seen.add(marker)
+            generators.append((query, marker))
+    return generators
 
 
 def type_queries(
@@ -59,66 +135,57 @@ def type_queries(
     element: Element,
     n: int,
     relation_names: "Optional[Iterable[str]]" = None,
+    table: "Optional[GeneratorTable]" = None,
+    incidence: "Optional[Incidence]" = None,
 ) -> List[ConjunctiveQuery]:
     """The connected canonical generators of ``ptp_n(C, element, Σ)``.
 
     De-duplicated up to variable renaming.  ``relation_names`` restricts
     to a sub-signature (the Σ of a colored signature Σ̄).  Constant-only
     atoms are skipped — the constant part of a structure is unchanged by
-    the quotient operations this machinery serves.
+    the quotient operations this machinery serves.  *table* shares
+    generators with other calls (a fresh one otherwise); *incidence* is
+    the structure's :class:`~repro.lf.canonical.Incidence`, when the
+    caller already holds one.
     """
-    if n < 1:
-        raise ValueError("positive n-types need n >= 1")
-    names = frozenset(relation_names) if relation_names is not None else None
-    constants = structure.constant_elements()
-    queries: List[ConjunctiveQuery] = []
-    seen = set()
-    for subset in connected_subsets_containing(structure, element, n, names):
-        chosen = set(subset) | set(constants)
-        query = canonical_query(
-            structure,
-            chosen,
-            element,
-            relation_names=names,
-            skip_constant_only=True,
+    return [
+        query
+        for query, _ in type_generators(
+            structure, element, n, relation_names, table, incidence
         )
-        marker = query.canonical()
-        if marker not in seen:
-            seen.add(marker)
-            queries.append(query)
-    return queries
+    ]
 
 
 def boolean_type_queries(
     structure: Structure,
     max_variables: int,
     relation_names: "Optional[Iterable[str]]" = None,
+    table: "Optional[GeneratorTable]" = None,
+    incidence: "Optional[Incidence]" = None,
 ) -> List[ConjunctiveQuery]:
     """The connected Boolean sentences of ≤ ``max_variables`` variables
     true in *structure* (canonical generators, deduplicated).
 
     These are the Ψ_i components of the reduction above, and also the
-    exact content of condition (♠3) in Remark 3.
+    exact content of condition (♠3) in Remark 3.  *table* and
+    *incidence* are as in :func:`type_queries`.
     """
     if max_variables < 1:
         return []
     names = frozenset(relation_names) if relation_names is not None else None
-    constants = structure.constant_elements()
+    table = table if table is not None else GeneratorTable()
+    incidence = incidence if incidence is not None else Incidence(structure)
+    constants = incidence.constants
     queries: List[ConjunctiveQuery] = []
     seen = set()
     for anchor in sorted(structure.domain(), key=str):
         for subset in connected_subsets_containing(
-            structure, anchor, max_variables, names
+            structure, anchor, max_variables, names, incidence
         ):
-            chosen = set(subset) | set(constants)
-            query = canonical_query(
-                structure,
-                chosen,
-                anchor,
-                relation_names=names,
-                skip_constant_only=True,
-            ).boolean()
-            marker = query.canonical()
+            shape = canonical_shape(
+                incidence, subset | constants, anchor, names, skip_constant_only=True
+            )
+            query, marker = table.generator(shape, boolean=True)
             if marker not in seen:
                 seen.add(marker)
                 queries.append(query)
@@ -237,5 +304,6 @@ def ptp_as_query_set(
     set is still handy as a cheap pre-partitioning key.
     """
     return frozenset(
-        q.canonical() for q in type_queries(structure, element, n, relation_names)
+        marker
+        for _, marker in type_generators(structure, element, n, relation_names)
     )

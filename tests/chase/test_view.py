@@ -13,6 +13,7 @@ from repro.chase import (
     explain,
 )
 from repro.lf import parse_fact, parse_query, parse_structure, parse_theory
+from repro.chase.view import UPDATE_STATS_WINDOW
 from repro.runtime import StopReason
 
 TRANSITIVE = parse_theory("E(x,y), E(y,z) -> E(x,z)")
@@ -275,6 +276,20 @@ class TestIntrospection:
         assert "wall_ms" not in payload
         assert payload["overdeleted"] == second.overdeleted
         assert "# update:" in second.render()
+
+    def test_update_stats_window_is_bounded(self):
+        view = ChaseView(CHAIN, TRANSITIVE, max_depth=None)
+        edge = parse_fact("E(d, e)")
+        for index in range(1000):
+            if index % 2:
+                view.update(removes=[edge])
+            else:
+                view.update(adds=[edge])
+            assert len(view.update_stats) <= UPDATE_STATS_WINDOW
+        assert len(view.update_stats) == UPDATE_STATS_WINDOW
+        assert view.updates_applied == 1000
+        assert view.update_stats[-1].removes_in == 1
+        assert "1000 updates" in str(view)
 
     def test_str_smoke(self):
         view = ChaseView(CHAIN, TRANSITIVE, max_depth=None)

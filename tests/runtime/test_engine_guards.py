@@ -26,7 +26,8 @@ from repro.errors import Cancelled, DeadlineExceeded, MemoryBudgetExceeded
 from repro.fc import SearchConfig, legacy_search, search_finite_model
 from repro.lf import parse_query, parse_structure, parse_theory
 from repro.rewriting import RewriteConfig, legacy_rewrite, rewrite
-from repro.runtime import GUARD_REASONS, StopReason
+from repro.ptypes import TypePartition
+from repro.runtime import GUARD_REASONS, GuardTripped, StopReason
 from repro.testing import inject_fault
 
 LINEAR = parse_theory("E(x,y) -> exists z. E(y,z)")
@@ -266,6 +267,46 @@ class TestPipeline:
             )
         assert result.stopped_reason is StopReason.CANCELLED
         assert result.chase_stats  # the depth-8 truncation chase ran
+
+    @pytest.mark.parametrize("policy", [OnBudget.RETURN, OnBudget.RAISE])
+    def test_trip_inside_the_quotient_phase(self, monkeypatch, policy):
+        # The type phases poll the pipeline guard once per element, so a
+        # trip can land inside TypePartition.classes (the quotient
+        # phase).  First count the checkpoints that precede the first
+        # partition, then trip at the very next one.
+        original = TypePartition.classes
+        seen = {"calls_at_entry": [], "tripped_inside": []}
+        active = {}
+
+        def spy(partition):
+            seen["calls_at_entry"].append(active["injector"].calls)
+            try:
+                return original(partition)
+            except GuardTripped as trip:
+                seen["tripped_inside"].append(trip.reason)
+                raise
+
+        monkeypatch.setattr(TypePartition, "classes", spy)
+        config = PipelineConfig(on_budget=OnBudget.RETURN)
+        with inject_fault("pipeline", "deadline", at_checkpoint=10**9) as injector:
+            active["injector"] = injector
+            assert build_finite_counter_model(LINEAR, DB, Q_LOOP, config).model
+        before = seen["calls_at_entry"][0]
+        assert before > 2  # the chase checks plus natural_coloring's polls
+
+        seen["calls_at_entry"].clear()
+        with inject_fault("pipeline", "deadline", at_checkpoint=before + 1) as injector:
+            active["injector"] = injector
+            if policy is OnBudget.RAISE:
+                with pytest.raises(DeadlineExceeded) as excinfo:
+                    build_finite_counter_model(LINEAR, DB, Q_LOOP)
+                result = excinfo.value.stats
+            else:
+                result = build_finite_counter_model(LINEAR, DB, Q_LOOP, config)
+        assert seen["tripped_inside"] == [StopReason.DEADLINE]
+        assert result.model is None
+        assert result.stopped_reason is StopReason.DEADLINE
+        assert result.chase_stats  # the truncation chase ran before the trip
 
     def test_rerun_without_the_fault_builds_the_model(self):
         with inject_fault("pipeline", "deadline"):
